@@ -12,7 +12,7 @@ use dquag_core::DquagConfig;
 use dquag_datagen::DatasetKind;
 use dquag_persist::{load_validator, save_validator};
 use dquag_tabular::DataFrame;
-use dquag_validate::{build_validator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, Validator, ValidatorSpec};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -26,7 +26,7 @@ fn train_config(fast: bool) -> DquagConfig {
 }
 
 fn fit_dquag(clean: &DataFrame, fast: bool) -> Box<dyn Validator> {
-    let mut validator = build_validator(ValidatorKind::Dquag, &train_config(fast));
+    let mut validator = build_spec(&ValidatorSpec::backend("dquag"), &train_config(fast)).unwrap();
     validator.fit(clean).expect("fitting succeeds");
     validator
 }

@@ -16,7 +16,7 @@ use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::StreamEngine;
 use dquag_tabular::csv;
-use dquag_validate::{build_validator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, Validator, ValidatorSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -26,7 +26,8 @@ const WORKERS: usize = 4;
 
 fn fitted_validator(train_rows: usize) -> Box<dyn Validator> {
     let clean = KIND.generate_clean(train_rows, 7);
-    let mut validator = build_validator(ValidatorKind::DeequAuto, &DquagConfig::fast());
+    let mut validator =
+        build_spec(&ValidatorSpec::backend("deequ-auto"), &DquagConfig::fast()).unwrap();
     validator.fit(&clean).expect("fitting succeeds");
     validator
 }

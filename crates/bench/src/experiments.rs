@@ -1,21 +1,27 @@
 //! The experiment implementations, one sub-module per table/figure of the
 //! paper's evaluation (§4) plus the DESIGN.md ablations.
 
-use crate::methods::{evaluate_method, fit_validator};
+use crate::methods::{evaluate_method, fit_spec};
 use crate::render_table;
 use crate::scale::Scale;
+use dquag_core::DquagConfig;
 use dquag_datagen::errors::PAPER_ERROR_RATE;
 use dquag_datagen::{
     inject_hidden, inject_ordinary, make_test_batches, Batch, BatchProtocol, DatasetKind,
     HiddenError, OrdinaryError,
 };
 use dquag_tabular::DataFrame;
-use dquag_validate::{Validator, ValidatorKind};
+use dquag_validate::{Validator, ValidatorSpec, PAPER_BACKENDS};
+
+/// Build and fit the DQuaG backend on the clean reference data.
+fn fit_dquag(clean: &DataFrame, config: &DquagConfig) -> Box<dyn Validator> {
+    fit_spec(&ValidatorSpec::backend("dquag"), clean, config)
+}
 
 /// Reuse the expensive pre-fitted DQuaG validator for the DQuaG rows and fit
 /// the (cheap) baselines fresh.
-fn prefitted_for(kind: ValidatorKind, dquag: &dyn Validator) -> Option<&dyn Validator> {
-    (kind == ValidatorKind::Dquag).then_some(dquag)
+fn prefitted_for<'a>(backend: &str, dquag: &'a dyn Validator) -> Option<&'a dyn Validator> {
+    (backend == "dquag").then_some(dquag)
 }
 
 /// Build the 50/50 (scale-dependent) labelled batch set for a clean/dirty
@@ -72,7 +78,7 @@ pub mod table1 {
         /// Error-type label (`N, S, M`, `Conflicts`, `Conflicts-1`, …).
         pub error_types: String,
         /// Method label.
-        pub method: &'static str,
+        pub method: String,
         /// Detection accuracy over the labelled batches.
         pub accuracy: f64,
         /// Detection recall over the dirty batches.
@@ -85,33 +91,34 @@ pub mod table1 {
         for kind in [DatasetKind::HotelBooking, DatasetKind::CreditCard] {
             let clean = kind.generate_clean(scale.dataset_rows(), 101);
             let config = scale.dquag_config();
-            let dquag = fit_validator(ValidatorKind::Dquag, &clean, &config);
+            let dquag = fit_dquag(&clean, &config);
 
             // Ordinary errors: evaluate N, S, M separately and report the mean
             // (the paper's rows carry averaged values, marked with *).
-            let mut per_method: Vec<(f64, f64)> = vec![(0.0, 0.0); ValidatorKind::ALL.len()];
+            let mut per_method = vec![(String::new(), 0.0, 0.0); PAPER_BACKENDS.len()];
             for (i, error) in OrdinaryError::ALL.iter().enumerate() {
                 let dirty = with_ordinary_error(&clean, kind, *error, 200 + i as u64);
                 let batches = batches_for(&clean, &dirty, scale, 300 + i as u64);
-                for (m, method) in ValidatorKind::ALL.into_iter().enumerate() {
+                for (m, backend) in PAPER_BACKENDS.into_iter().enumerate() {
                     let result = evaluate_method(
-                        method,
+                        backend,
                         &clean,
                         &batches,
-                        prefitted_for(method, &*dquag),
+                        prefitted_for(backend, &*dquag),
                         &config,
                     );
-                    per_method[m].0 += result.accuracy();
-                    per_method[m].1 += result.recall();
+                    per_method[m].1 += result.accuracy();
+                    per_method[m].2 += result.recall();
+                    per_method[m].0 = result.method;
                 }
             }
-            for (m, method) in ValidatorKind::ALL.into_iter().enumerate() {
+            for (method, accuracy, recall) in per_method {
                 rows.push(Row {
                     dataset: kind.name(),
                     error_types: "N, S, M".to_string(),
-                    method: method.label(),
-                    accuracy: per_method[m].0 / OrdinaryError::ALL.len() as f64,
-                    recall: per_method[m].1 / OrdinaryError::ALL.len() as f64,
+                    method,
+                    accuracy: accuracy / OrdinaryError::ALL.len() as f64,
+                    recall: recall / OrdinaryError::ALL.len() as f64,
                 });
             }
 
@@ -125,20 +132,20 @@ pub mod table1 {
                 };
                 let dirty = with_hidden_error(&clean, *conflict, 400 + i as u64);
                 let batches = batches_for(&clean, &dirty, scale, 500 + i as u64);
-                for method in ValidatorKind::ALL {
+                for backend in PAPER_BACKENDS {
                     let result = evaluate_method(
-                        method,
+                        backend,
                         &clean,
                         &batches,
-                        prefitted_for(method, &*dquag),
+                        prefitted_for(backend, &*dquag),
                         &config,
                     );
                     rows.push(Row {
                         dataset: kind.name(),
                         error_types: label.clone(),
-                        method: method.label(),
                         accuracy: result.accuracy(),
                         recall: result.recall(),
+                        method: result.method,
                     });
                 }
             }
@@ -154,7 +161,7 @@ pub mod table1 {
                 vec![
                     r.dataset.to_string(),
                     r.error_types.clone(),
-                    r.method.to_string(),
+                    r.method.clone(),
                     format!("{:.3}", r.accuracy),
                     format!("{:.3}", r.recall),
                 ]
@@ -201,7 +208,7 @@ pub mod table2 {
             let batches = batches_for(&clean, &dirty, scale, 113);
             for encoder in EncoderKind::ALL {
                 let config = scale.dquag_config().with_encoder(encoder);
-                let validator = fit_validator(ValidatorKind::Dquag, &clean, &config);
+                let validator = fit_dquag(&clean, &config);
                 let mut clean_rate = 0.0;
                 let mut dirty_rate = 0.0;
                 let mut n_clean = 0usize;
@@ -278,7 +285,7 @@ pub mod table3 {
             let clean = kind.generate_clean(scale.dataset_rows(), 121);
             let dirty = kind.generate_dirty(scale.dataset_rows(), 122);
             let config = scale.dquag_config();
-            let validator = fit_validator(ValidatorKind::Dquag, &clean, &config);
+            let validator = fit_dquag(&clean, &config);
             for &sample_size in &scale.table3_sample_sizes() {
                 let protocol = BatchProtocol::fixed_size(
                     scale.n_batches_per_class(),
@@ -343,7 +350,7 @@ pub mod figure3 {
         /// Dataset name.
         pub dataset: &'static str,
         /// Method label.
-        pub method: &'static str,
+        pub method: String,
         /// Detection accuracy.
         pub accuracy: f64,
         /// Detection recall.
@@ -357,21 +364,21 @@ pub mod figure3 {
             let clean = kind.generate_clean(scale.dataset_rows(), 131);
             let dirty = kind.generate_dirty(scale.dataset_rows(), 132);
             let config = scale.dquag_config();
-            let dquag = fit_validator(ValidatorKind::Dquag, &clean, &config);
+            let dquag = fit_dquag(&clean, &config);
             let batches = batches_for(&clean, &dirty, scale, 133);
-            for method in ValidatorKind::ALL {
+            for backend in PAPER_BACKENDS {
                 let result = evaluate_method(
-                    method,
+                    backend,
                     &clean,
                     &batches,
-                    prefitted_for(method, &*dquag),
+                    prefitted_for(backend, &*dquag),
                     &config,
                 );
                 rows.push(Row {
                     dataset: kind.name(),
-                    method: method.label(),
                     accuracy: result.accuracy(),
                     recall: result.recall(),
+                    method: result.method,
                 });
             }
         }
@@ -385,7 +392,7 @@ pub mod figure3 {
             .map(|r| {
                 vec![
                     r.dataset.to_string(),
-                    r.method.to_string(),
+                    r.method.clone(),
                     format!("{:.3}", r.accuracy),
                     format!("{:.3}", r.recall),
                 ]
@@ -429,7 +436,7 @@ pub mod figure4 {
             let clean =
                 dquag_datagen::datasets::nytaxi::generate_clean(train_rows, dimensions, 141);
             let config = scale.dquag_config();
-            let validator = fit_validator(ValidatorKind::Dquag, &clean, &config);
+            let validator = fit_dquag(&clean, &config);
             for &n_rows in &scale.figure4_row_counts() {
                 let data = dquag_datagen::datasets::nytaxi::generate_clean(n_rows, dimensions, 142);
                 let start = Instant::now();
@@ -564,7 +571,6 @@ pub mod repair_eval {
 /// threshold percentile.
 pub mod ablations {
     use super::*;
-    use dquag_core::DquagConfig;
     use dquag_graph::FeatureGraph;
 
     /// One ablation result: the dirty-minus-clean flagged-rate separation (in
@@ -580,7 +586,7 @@ pub mod ablations {
     }
 
     fn separation(clean: &DataFrame, dirty: &DataFrame, scale: Scale, config: &DquagConfig) -> f64 {
-        let validator = fit_validator(ValidatorKind::Dquag, clean, config);
+        let validator = fit_dquag(clean, config);
         let batches = batches_for(clean, dirty, scale, 161);
         let mut clean_rate = 0.0;
         let mut dirty_rate = 0.0;

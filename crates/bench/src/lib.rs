@@ -31,8 +31,7 @@ pub mod experiments;
 pub mod methods;
 pub mod scale;
 
-pub use dquag_validate::ValidatorKind;
-pub use methods::{evaluate_method, evaluate_method_streaming, fit_validator, MethodResult};
+pub use methods::{evaluate_method, evaluate_method_streaming, fit_spec, MethodResult};
 pub use scale::Scale;
 
 /// Render a simple aligned text table.

@@ -2,23 +2,23 @@
 //! protocol.
 //!
 //! All seven configurations (DQuaG plus the six baseline profiles) go through
-//! the same [`dquag_validate::Validator`] trait: build via
-//! [`build_validator`], fit on the clean reference data, judge every batch.
-//! There is no per-backend dispatch here — the unified API is the whole
-//! point.
+//! the same [`dquag_validate::Validator`] trait: build from a
+//! [`ValidatorSpec`] via [`build_spec`], fit on the clean reference data,
+//! judge every batch. There is no per-backend dispatch here — the unified API
+//! is the whole point.
 
 use dquag_core::metrics::DetectionMetrics;
 use dquag_core::DquagConfig;
 use dquag_datagen::Batch;
 use dquag_stream::StreamEngine;
 use dquag_tabular::DataFrame;
-use dquag_validate::{build_validator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, Validator, ValidatorSpec};
 
-/// Result of evaluating one validator kind on a set of labelled batches.
+/// Result of evaluating one validator on a set of labelled batches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MethodResult {
-    /// Label of the evaluated validator.
-    pub method: &'static str,
+    /// Table label of the evaluated validator ([`Validator::name`]).
+    pub method: String,
     /// Confusion-matrix metrics over the batches.
     pub metrics: DetectionMetrics,
 }
@@ -35,34 +35,20 @@ impl MethodResult {
     }
 }
 
-/// Build a validator of `kind` and fit it on the clean reference data.
+/// Build the validator a spec tree declares (through the default registry)
+/// and fit it on the clean reference data. Ensembles, drift detectors and
+/// gated pairs evaluate through the same batch protocol as any single
+/// backend.
 ///
 /// Experiments that evaluate one dataset under several error conditions fit
 /// expensive validators once and hand them back to [`evaluate_method`] as
 /// `prefitted` (the paper trains DQuaG once per dataset as well).
-pub fn fit_validator(
-    kind: ValidatorKind,
-    clean: &DataFrame,
-    config: &DquagConfig,
-) -> Box<dyn Validator> {
-    let mut validator = build_validator(kind, config);
-    validator
-        .fit(clean)
-        .expect("fitting on generated clean data succeeds");
-    validator
-}
-
-/// Build the validator a spec tree declares (through the default registry)
-/// and fit it on the clean reference data — [`fit_validator`] for the open
-/// spec world: ensembles, drift detectors and gated pairs evaluate through
-/// the same batch protocol as any single backend.
 pub fn fit_spec(
-    spec: &dquag_validate::ValidatorSpec,
+    spec: &ValidatorSpec,
     clean: &DataFrame,
     config: &DquagConfig,
 ) -> Box<dyn Validator> {
-    let mut validator =
-        dquag_validate::build_spec(spec, config).expect("spec resolves against the registry");
+    let mut validator = build_spec(spec, config).expect("spec resolves against the registry");
     validator
         .fit(clean)
         .expect("fitting on generated clean data succeeds");
@@ -86,54 +72,58 @@ pub fn evaluate_fitted(validator: &dyn Validator, batches: &[Batch]) -> Detectio
     DetectionMetrics::from_predictions(&predictions, &labels)
 }
 
-/// Evaluate one validator kind: fit on the clean reference data (or reuse
-/// `prefitted`, which must be a fitted validator of the same kind) and
-/// classify every batch.
+/// Evaluate one registry backend (e.g. a [`dquag_validate::PAPER_BACKENDS`]
+/// name): fit on the clean reference data (or reuse `prefitted`, which must
+/// be a fitted validator of the same backend) and classify every batch.
 pub fn evaluate_method(
-    kind: ValidatorKind,
+    backend: &str,
     clean: &DataFrame,
     batches: &[Batch],
     prefitted: Option<&dyn Validator>,
     config: &DquagConfig,
 ) -> MethodResult {
-    if let Some(v) = prefitted {
-        assert_eq!(
-            v.name(),
-            kind.label(),
-            "prefitted validator must match the evaluated kind"
-        );
-    }
+    let spec = ValidatorSpec::backend(backend);
     let owned;
     let validator: &dyn Validator = match prefitted {
-        Some(v) => v,
+        Some(v) => {
+            let expected =
+                build_spec(&spec, config).expect("backend resolves against the registry");
+            assert_eq!(
+                v.name(),
+                expected.name(),
+                "prefitted validator must match the evaluated backend"
+            );
+            v
+        }
         None => {
-            owned = fit_validator(kind, clean, config);
+            owned = fit_spec(&spec, clean, config);
             &*owned
         }
     };
     MethodResult {
-        method: kind.label(),
+        method: validator.name().to_string(),
         metrics: evaluate_fitted(validator, batches),
     }
 }
 
-/// Evaluate one validator kind by driving every batch through the streaming
-/// engine instead of the caller's thread: a producer submits the batches
-/// while the engine shards them across `config.stream.replicas` fitted
-/// replicas, and the re-sequenced verdict stream yields the predictions in
-/// submission order.
+/// Evaluate one registry backend by driving every batch through the
+/// streaming engine instead of the caller's thread: a producer submits the
+/// batches while the engine shards them across `config.stream.replicas`
+/// fitted replicas, and the re-sequenced verdict stream yields the
+/// predictions in submission order.
 ///
 /// The engine runs lossless for metric integrity (`Block` backpressure, no
 /// deadline) regardless of `config.stream`'s policy; replica count and queue
 /// capacity are honoured. Results are identical to [`evaluate_method`] —
 /// sharding is an implementation detail the metrics cannot see.
 pub fn evaluate_method_streaming(
-    kind: ValidatorKind,
+    backend: &str,
     clean: &DataFrame,
     batches: &[Batch],
     config: &DquagConfig,
 ) -> MethodResult {
-    let validator = fit_validator(kind, clean, config);
+    let validator = fit_spec(&ValidatorSpec::backend(backend), clean, config);
+    let method = validator.name().to_string();
     let (engine, ingest, verdicts) = StreamEngine::builder()
         .replicas(config.stream.replicas)
         .queue_capacity(config.stream.queue_capacity)
@@ -164,7 +154,7 @@ pub fn evaluate_method_streaming(
     engine.shutdown();
 
     MethodResult {
-        method: kind.label(),
+        method,
         metrics: DetectionMetrics::from_predictions(&predictions, &labels),
     }
 }
@@ -174,11 +164,12 @@ mod tests {
     use super::*;
     use crate::Scale;
     use dquag_datagen::{make_test_batches, BatchProtocol, DatasetKind};
+    use dquag_validate::PAPER_BACKENDS;
 
     #[test]
     fn all_kinds_are_listed_with_dquag_last() {
-        assert_eq!(ValidatorKind::ALL.len(), 7);
-        assert_eq!(ValidatorKind::ALL.last().unwrap().label(), "DQuaG");
+        assert_eq!(PAPER_BACKENDS.len(), 7);
+        assert_eq!(PAPER_BACKENDS.last(), Some(&"dquag"));
     }
 
     #[test]
@@ -194,7 +185,7 @@ mod tests {
         };
         let batches = make_test_batches(&clean, &dirty, protocol, &mut rng);
         let result = evaluate_method(
-            ValidatorKind::DeequExpert,
+            "deequ-expert",
             &clean,
             &batches,
             None,
@@ -207,7 +198,7 @@ mod tests {
 
     #[test]
     fn spec_evaluation_agrees_with_the_kind_path_and_composes() {
-        use dquag_validate::{ValidatorSpec, Voting};
+        use dquag_validate::Voting;
         let clean = DatasetKind::CreditCard.generate_clean(600, 23);
         let dirty = DatasetKind::CreditCard.generate_dirty(600, 24);
         let mut rng = dquag_datagen::rng(25);
@@ -220,11 +211,12 @@ mod tests {
         let batches = make_test_batches(&clean, &dirty, protocol, &mut rng);
         let config = Scale::Smoke.dquag_config();
 
-        // A backend leaf scores exactly like its legacy-kind counterpart.
+        // A fitted backend leaf scores exactly like the named-backend path.
         let via_spec = fit_spec(&ValidatorSpec::backend("gate"), &clean, &config);
         let leaf_metrics = evaluate_fitted(&*via_spec, &batches);
-        let kind_result = evaluate_method(ValidatorKind::Gate, &clean, &batches, None, &config);
-        assert_eq!(leaf_metrics, kind_result.metrics);
+        let named = evaluate_method("gate", &clean, &batches, None, &config);
+        assert_eq!(named.method, "Gate");
+        assert_eq!(leaf_metrics, named.metrics);
 
         // A composite spec runs through the very same protocol.
         let ensemble = fit_spec(
@@ -257,15 +249,9 @@ mod tests {
         };
         let batches = make_test_batches(&clean, &dirty, protocol, &mut rng);
         let config = Scale::Smoke.dquag_config();
-        let fitted = fit_validator(ValidatorKind::Gate, &clean, &config);
-        let reused = evaluate_method(
-            ValidatorKind::Gate,
-            &clean,
-            &batches,
-            Some(&*fitted),
-            &config,
-        );
-        let fresh = evaluate_method(ValidatorKind::Gate, &clean, &batches, None, &config);
+        let fitted = fit_spec(&ValidatorSpec::backend("gate"), &clean, &config);
+        let reused = evaluate_method("gate", &clean, &batches, Some(&*fitted), &config);
+        let fresh = evaluate_method("gate", &clean, &batches, None, &config);
         assert_eq!(
             reused.metrics, fresh.metrics,
             "reuse must not change results"
@@ -287,8 +273,8 @@ mod tests {
         let mut config = Scale::Smoke.dquag_config();
         config.stream.replicas = 3;
 
-        let direct = evaluate_method(ValidatorKind::Gate, &clean, &batches, None, &config);
-        let streamed = evaluate_method_streaming(ValidatorKind::Gate, &clean, &batches, &config);
+        let direct = evaluate_method("gate", &clean, &batches, None, &config);
+        let streamed = evaluate_method_streaming("gate", &clean, &batches, &config);
         assert_eq!(
             direct.metrics, streamed.metrics,
             "the sharded engine must reproduce the direct path exactly"
@@ -300,7 +286,7 @@ mod tests {
     fn mismatched_prefitted_validator_is_rejected() {
         let clean = DatasetKind::CreditCard.generate_clean(600, 7);
         let config = Scale::Smoke.dquag_config();
-        let fitted = fit_validator(ValidatorKind::Gate, &clean, &config);
-        evaluate_method(ValidatorKind::Adqv, &clean, &[], Some(&*fitted), &config);
+        let fitted = fit_spec(&ValidatorSpec::backend("gate"), &clean, &config);
+        evaluate_method("adqv", &clean, &[], Some(&*fitted), &config);
     }
 }

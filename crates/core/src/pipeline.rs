@@ -244,13 +244,8 @@ impl DquagValidator {
         let calibration_rows: Vec<&[f32]> = (0..encoded_calibration.n_rows())
             .map(|row| encoded_calibration.row(row))
             .collect();
-        let calibration_batch = if config.batched_inference {
-            config.inference_batch_size.max(1)
-        } else {
-            1
-        };
         let calibration_errors: Vec<f32> = calibration_rows
-            .chunks(calibration_batch)
+            .chunks(config.inference_batch_size.max(1))
             .flat_map(|chunk| network.score_errors(&session, chunk).instance_errors())
             .collect();
         let threshold = percentile_f32(&calibration_errors, config.threshold_percentile);
@@ -378,14 +373,6 @@ impl DquagValidator {
         &self.config
     }
 
-    /// Toggle batched inference on an already-trained validator (defaults to
-    /// the training configuration). Both settings produce identical verdicts
-    /// — the toggle exists for equivalence testing and debugging.
-    pub fn with_batched_inference(mut self, enabled: bool) -> Self {
-        self.config.batched_inference = enabled;
-        self
-    }
-
     /// Attach a telemetry bundle: phase-2 calls time their graph-build,
     /// forward and verdict-assembly stages and count GNN forward passes into
     /// its registry. Without a bundle the hot path stays untouched.
@@ -504,9 +491,7 @@ impl DquagValidator {
             .encoder
             .transform(df)
             .map_err(|e| CoreError::SchemaMismatch(e.to_string()))?;
-        let rows: Vec<Vec<f32>> = (0..encoded.n_rows())
-            .map(|r| encoded.row(r).to_vec())
-            .collect();
+        let rows: Vec<&[f32]> = (0..encoded.n_rows()).map(|r| encoded.row(r)).collect();
         let flat = self.feature_errors_for_rows(&rows)?;
         let stride = self.network.n_features().max(1);
         Ok(flat.chunks(stride).map(instance_error).collect())
@@ -515,11 +500,10 @@ impl DquagValidator {
     /// Per-feature squared reconstruction errors for every row, flattened
     /// row-major with stride `n_features` — the phase-2 hot path. Rows are
     /// stacked into matrix-level forward passes of up to
-    /// `inference_batch_size` (or scored one by one when `batched_inference`
-    /// is off), on inference sessions that bind the parameters once per
-    /// worker instead of once per row. One flat buffer keeps memory at the
-    /// size of the encoded input instead of one allocation per row.
-    fn feature_errors_for_rows(&self, rows: &[Vec<f32>]) -> Result<Vec<f32>> {
+    /// `inference_batch_size`, on inference sessions that bind the parameters
+    /// once per worker instead of once per row. One flat buffer keeps memory
+    /// at the size of the encoded input instead of one allocation per row.
+    fn feature_errors_for_rows(&self, rows: &[&[f32]]) -> Result<Vec<f32>> {
         let stride = self.network.n_features();
         let mut results = vec![0.0f32; rows.len() * stride];
         let threads = self.config.validation_threads.max(1);
@@ -559,13 +543,9 @@ impl DquagValidator {
     /// The session is armed with this validator's self-checks; a health
     /// violation aborts scoring and surfaces as [`CoreError::Health`] —
     /// scores from a corrupt model are never handed upward.
-    fn score_rows_into(&self, rows: &[Vec<f32>], out: &mut [f32]) -> Result<()> {
+    fn score_rows_into(&self, rows: &[&[f32]], out: &mut [f32]) -> Result<()> {
         let stride = self.network.n_features();
-        let batch = if self.config.batched_inference {
-            self.config.inference_batch_size.max(1)
-        } else {
-            1
-        };
+        let batch = self.config.inference_batch_size.max(1);
         let session = self.network.inference_session();
         self.arm_session(&session);
         let mut offset = 0;
@@ -590,9 +570,7 @@ impl DquagValidator {
             .encoder
             .transform(df)
             .map_err(|e| CoreError::SchemaMismatch(e.to_string()))?;
-        let rows: Vec<Vec<f32>> = (0..encoded.n_rows())
-            .map(|r| encoded.row(r).to_vec())
-            .collect();
+        let rows: Vec<&[f32]> = (0..encoded.n_rows()).map(|r| encoded.row(r)).collect();
         self.observe_stage(Stage::GraphBuild, build_started);
         let stride = self.network.n_features().max(1);
         let forward_started = std::time::Instant::now();
@@ -691,11 +669,7 @@ impl DquagValidator {
 
         let session = self.network.inference_session();
         self.arm_session(&session);
-        let batch = if self.config.batched_inference {
-            self.config.inference_batch_size.max(1)
-        } else {
-            1
-        };
+        let batch = self.config.inference_batch_size.max(1);
         for (chunk_start, chunk) in target_rows.chunks(batch).enumerate() {
             let scores = self.network.score_repairs(&session, chunk);
             self.session_health(&session)?;
@@ -946,13 +920,16 @@ mod tests {
     }
 
     #[test]
-    fn batched_inference_matches_per_row_reports() {
-        // Equivalence gate at the pipeline level: the same trained validator
-        // with batching on vs off must produce identical reports — errors,
-        // flags, cell flags, dataset verdict — on clean and corrupted data.
-        let (validator, clean) = trained_credit_validator();
-        let batched = validator.clone().with_batched_inference(true);
-        let per_row = validator.with_batched_inference(false);
+    fn batched_scoring_matches_per_row_reports() {
+        // Equivalence gate at the pipeline level: the same trained model
+        // scored in batches of `inference_batch_size` and one row per forward
+        // pass must produce identical reports — errors, flags, cell flags,
+        // dataset verdict — on clean and corrupted data.
+        let (batched, clean) = trained_credit_validator();
+        assert!(batched.config().inference_batch_size > 1);
+        let mut state = batched.export_state();
+        state.config.inference_batch_size = 1;
+        let per_row = DquagValidator::from_state(state).unwrap();
 
         let mut rng = dquag_datagen::rng(29);
         let mut dirty = dquag_datagen::sample_fraction(&clean, 0.3, &mut rng);

@@ -33,7 +33,7 @@
 //!   a cold refit over a crash.
 
 use crate::error::PersistError;
-use dquag_validate::{rebuild_validator, PersistedValidatorState, Validator};
+use dquag_validate::{restore_validator, PersistedValidatorState, Validator};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -197,13 +197,13 @@ pub fn load_model(path: &Path) -> Result<PersistedValidatorState> {
 
 /// Strictly load a fitted, scoring-ready validator from `path`.
 ///
-/// [`load_model`] plus [`rebuild_validator`]: structural verification
+/// [`load_model`] plus [`restore_validator`]: structural verification
 /// happens at both layers (envelope checksum here, parameter checksums and
 /// spec validation inside the rebuild), so a validator that comes back is
 /// guaranteed to score exactly as the one that was saved.
 pub fn load_validator(path: &Path) -> Result<Box<dyn Validator>> {
     let state = load_model(path)?;
-    rebuild_validator(state).map_err(PersistError::Rebuild)
+    restore_validator(state).map_err(PersistError::Rebuild)
 }
 
 /// The outcome of a lenient [`recover_model`]: at most a state, plus
@@ -286,7 +286,7 @@ mod tests {
     use super::*;
     use dquag_core::spec::DriftSpec;
     use dquag_tabular::{DataFrame, Field, Schema, Value};
-    use dquag_validate::DriftValidator;
+    use dquag_validate::{DquagBackend, DriftValidator};
 
     fn unique_dir(tag: &str) -> PathBuf {
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -539,6 +539,45 @@ mod tests {
             }
             other => panic!("kind mismatch must fail Corrupt, got {other:?}"),
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn models_saved_with_the_retired_batching_toggle_still_load() {
+        // Model files saved while `DquagConfig` still had its boolean
+        // batching toggle carry that key in their config. Loading ignores
+        // it, and the restored model judges batches exactly as the saved one
+        // did.
+        use dquag_datagen::DatasetKind;
+        const RETIRED_KEY: &str = "batched_inference";
+
+        let dir = unique_dir("retired-key");
+        let path = dir.join("model.json");
+        let clean = DatasetKind::CreditCard.generate_clean(300, 5);
+        let batch = DatasetKind::CreditCard.generate_dirty(120, 6);
+        let mut config = dquag_core::DquagConfig::fast();
+        config.epochs = 2;
+        let mut original = DquagBackend::new(config);
+        original.fit(&clean).unwrap();
+        save_validator(&path, &original).unwrap();
+
+        let text = fs::read_to_string(&path).unwrap();
+        let old = text.replacen(
+            "\"inference_batch_size\":",
+            &format!("\"{RETIRED_KEY}\":false,\"inference_batch_size\":"),
+            1,
+        );
+        assert!(!text.contains(RETIRED_KEY) && old != text);
+        let mut envelope: ModelEnvelope = serde_json::from_str(&old).unwrap();
+        envelope.checksum = payload_json_and_checksum(&envelope.payload).1;
+        fs::write(&path, serde_json::to_string(&envelope.to_value()).unwrap()).unwrap();
+
+        let state = load_model(&path).expect("the re-sealed old model loads");
+        let restored = restore_validator(state).unwrap();
+        assert_eq!(
+            restored.validate(&batch).unwrap(),
+            original.validate(&batch).unwrap()
+        );
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,7 +15,7 @@ use dquag_persist::{
 };
 use dquag_stream::{StreamEngine, StreamOutcome};
 use dquag_tabular::DataFrame;
-use dquag_validate::{build_validator, Validator, ValidatorKind, Verdict};
+use dquag_validate::{build_spec, Validator, Verdict};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -35,7 +35,7 @@ fn unique_dir(tag: &str) -> PathBuf {
 /// Train a small but real DQuaG validator (GNN and all) on clean traffic.
 fn fit_dquag(clean: &DataFrame) -> Box<dyn Validator> {
     let config = DquagConfig::builder().epochs(15).build().unwrap();
-    let mut validator = build_validator(ValidatorKind::Dquag, &config);
+    let mut validator = build_spec(&ValidatorSpec::backend("dquag"), &config).unwrap();
     validator.fit(clean).unwrap();
     validator
 }

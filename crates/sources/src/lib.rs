@@ -35,7 +35,7 @@
 //! use dquag_core::DquagConfig;
 //! use dquag_sources::{Checkpoint, DirWatcherSource, NetListenerSource, SourceRuntime};
 //! use dquag_stream::StreamEngine;
-//! use dquag_validate::{build_validator, ValidatorKind};
+//! use dquag_validate::{build_spec, ValidatorSpec};
 //! # fn get_clean() -> dquag_tabular::DataFrame { unimplemented!() }
 //!
 //! let clean = get_clean();
@@ -44,7 +44,7 @@
 //!     .checkpoint_path("state/dquag.ckpt.json")
 //!     .build()
 //!     .unwrap();
-//! let mut validator = build_validator(ValidatorKind::Dquag, &config);
+//! let mut validator = build_spec(&ValidatorSpec::backend("dquag"), &config).unwrap();
 //! validator.fit(&clean).unwrap();
 //!
 //! // Restore: a prior checkpoint resumes offsets and statistics.

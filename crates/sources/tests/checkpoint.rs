@@ -8,7 +8,7 @@ use dquag_datagen::DatasetKind;
 use dquag_sources::{Checkpoint, DirWatcherSource, SourceRuntime};
 use dquag_stream::{StreamEngine, StreamStats};
 use dquag_tabular::csv;
-use dquag_validate::{build_validator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, Validator, ValidatorSpec};
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -114,7 +114,8 @@ fn corrupted_and_truncated_checkpoints_recover_to_fresh_start() {
 /// A cheap deterministic validator for the resume test.
 fn fitted_validator() -> Box<dyn Validator> {
     let clean = KIND.generate_clean(400, 5);
-    let mut validator = build_validator(ValidatorKind::DeequAuto, &DquagConfig::fast());
+    let mut validator =
+        build_spec(&ValidatorSpec::backend("deequ-auto"), &DquagConfig::fast()).unwrap();
     validator.fit(&clean).expect("fitting succeeds");
     validator
 }

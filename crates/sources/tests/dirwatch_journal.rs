@@ -12,7 +12,7 @@ use dquag_datagen::DatasetKind;
 use dquag_sources::{DirWatcherSource, SourceRuntime};
 use dquag_stream::{StreamEngine, StreamItem, StreamOutcome};
 use dquag_tabular::csv;
-use dquag_validate::{build_validator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, Validator, ValidatorSpec};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -35,7 +35,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn fitted_validator() -> Box<dyn Validator> {
     let clean = KIND.generate_clean(400, 11);
     let config = DquagConfig::fast();
-    let mut validator = build_validator(ValidatorKind::DeequAuto, &config);
+    let mut validator = build_spec(&ValidatorSpec::backend("deequ-auto"), &config).unwrap();
     validator.fit(&clean).expect("fitting succeeds");
     validator
 }

@@ -10,7 +10,7 @@ use dquag_sources::SourceRuntime;
 use dquag_stream::StreamStats;
 use dquag_stream::{IngestHandle, StreamEngine, StreamItem, StreamOutcome, VerdictStream};
 use dquag_tabular::{csv, DataFrame};
-use dquag_validate::{build_validator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, Validator, ValidatorSpec};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -23,7 +23,7 @@ const KIND: DatasetKind = DatasetKind::HotelBooking;
 fn fitted_validator() -> Box<dyn Validator> {
     let clean = KIND.generate_clean(600, 11);
     let config = DquagConfig::fast();
-    let mut validator = build_validator(ValidatorKind::DeequAuto, &config);
+    let mut validator = build_spec(&ValidatorSpec::backend("deequ-auto"), &config).unwrap();
     validator.fit(&clean).expect("fitting succeeds");
     validator
 }

@@ -9,7 +9,7 @@ use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::{StreamEngine, VerdictStream};
 use dquag_tabular::{csv, DataFrame, Field, Schema, Value};
 use dquag_telemetry::{DataTelemetryOptions, Telemetry, TelemetryOptions};
-use dquag_validate::{build_validator, DriftSpec, DriftValidator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, DriftSpec, DriftValidator, Validator, ValidatorSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -21,7 +21,7 @@ const KIND: DatasetKind = DatasetKind::HotelBooking;
 fn fitted_validator() -> Box<dyn Validator> {
     let clean = KIND.generate_clean(400, 11);
     let config = DquagConfig::fast();
-    let mut validator = build_validator(ValidatorKind::DeequAuto, &config);
+    let mut validator = build_spec(&ValidatorSpec::backend("deequ-auto"), &config).unwrap();
     validator.fit(&clean).expect("fitting succeeds");
     validator
 }

@@ -11,7 +11,7 @@ use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::{StreamEngine, VerdictStream};
 use dquag_tabular::csv;
 use dquag_telemetry::{Telemetry, TelemetryOptions};
-use dquag_validate::{build_validator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, Validator, ValidatorSpec};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ const KIND: DatasetKind = DatasetKind::HotelBooking;
 fn fitted_validator() -> Box<dyn Validator> {
     let clean = KIND.generate_clean(400, 11);
     let config = DquagConfig::fast();
-    let mut validator = build_validator(ValidatorKind::DeequAuto, &config);
+    let mut validator = build_spec(&ValidatorSpec::backend("deequ-auto"), &config).unwrap();
     validator.fit(&clean).expect("fitting succeeds");
     validator
 }

@@ -1,6 +1,7 @@
 //! Pipeline-level golden test for batched inference: fit once, validate the
 //! datagen error catalog through `ValidationSession` *and* the stream engine
-//! with batching on vs off, and assert identical `Verdict`s and
+//! in batches of `inference_batch_size` vs one row per forward pass
+//! (`inference_batch_size = 1`), and assert identical `Verdict`s and
 //! `SessionSummary` counts. Extends the PR 2 replica-invariance pattern: like
 //! the replica count, matrix-level batching must be an implementation detail
 //! no consumer can observe.
@@ -77,10 +78,15 @@ fn batching_is_invisible_through_session_and_stream_engine() {
         .expect("configuration in range");
 
     // Fit exactly once; both paths share the same weights and threshold.
+    // The per-row path is the same model restored with a batch size of 1.
     let trained = DquagValidator::train(&clean, &[], &config).expect("training succeeds");
     let backend = |batched: bool| {
+        let mut state = trained.export_state();
+        if !batched {
+            state.config.inference_batch_size = 1;
+        }
         Box::new(DquagBackend::from_trained(
-            trained.clone().with_batched_inference(batched),
+            DquagValidator::from_state(state).expect("exported state restores"),
         ))
     };
 

@@ -5,7 +5,7 @@ use dquag_core::{BackpressurePolicy, DquagConfig};
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag_stream::{StreamEngine, StreamItem, StreamOutcome, SubmitOutcome};
 use dquag_tabular::DataFrame;
-use dquag_validate::{build_validator, Capabilities, FitReport, Validator, ValidatorKind, Verdict};
+use dquag_validate::{build_spec, Capabilities, FitReport, Validator, ValidatorSpec, Verdict};
 use std::time::Duration;
 
 fn test_config() -> DquagConfig {
@@ -122,7 +122,7 @@ fn replica_count_never_changes_the_verdicts() {
     let config = test_config();
 
     let fit_dquag = || {
-        let mut validator = build_validator(ValidatorKind::Dquag, &config);
+        let mut validator = build_spec(&ValidatorSpec::backend("dquag"), &config).unwrap();
         validator.fit(&clean).expect("fit succeeds");
         validator
     };

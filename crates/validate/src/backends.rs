@@ -255,11 +255,6 @@ impl BaselineBackend {
             fitted: false,
         }
     }
-
-    /// Which baseline configuration this wraps.
-    pub fn kind(&self) -> BaselineKind {
-        self.kind
-    }
 }
 
 impl Validator for BaselineBackend {

@@ -3,7 +3,7 @@
 //! A [`PersistedValidatorState`] is the crate's *Persistable capability* made
 //! concrete: any [`Validator`] that can produce one (via
 //! [`Validator::persisted_state`]) can be saved to disk and rebuilt,
-//! scoring-ready, by [`rebuild_validator`] — no refit. Backends opt in by
+//! scoring-ready, by [`restore_validator`] — no refit. Backends opt in by
 //! overriding the trait method; composites (ensemble, gated) are persistable
 //! exactly when every member is, recursively.
 //!
@@ -60,7 +60,7 @@ pub struct DriftState {
 }
 
 /// The reference profile of one column. Exactly one of `numeric` /
-/// `categorical` is set; [`rebuild_validator`] rejects anything else.
+/// `categorical` is set; [`restore_validator`] rejects anything else.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DriftColumnState {
     /// Column name.
@@ -129,7 +129,7 @@ pub struct GatedState {
 /// fails closed — structural inconsistencies (missing profiles, checksum
 /// mismatches in the DQuaG parameters, invalid specs) are errors, never
 /// silently-degraded validators.
-pub fn rebuild_validator(state: PersistedValidatorState) -> Result<Box<dyn Validator>> {
+pub fn restore_validator(state: PersistedValidatorState) -> Result<Box<dyn Validator>> {
     match state {
         PersistedValidatorState::Dquag(model) => {
             let fitted = dquag_core::DquagValidator::from_state(*model)?;
@@ -142,7 +142,7 @@ pub fn rebuild_validator(state: PersistedValidatorState) -> Result<Box<dyn Valid
             let members = ensemble
                 .members
                 .into_iter()
-                .map(rebuild_validator)
+                .map(restore_validator)
                 .collect::<Result<Vec<_>>>()?;
             Ok(Box::new(crate::EnsembleValidator::new(
                 members,
@@ -150,8 +150,8 @@ pub fn rebuild_validator(state: PersistedValidatorState) -> Result<Box<dyn Valid
             )?))
         }
         PersistedValidatorState::Gated(gated) => {
-            let cheap = rebuild_validator(*gated.cheap)?;
-            let expensive = rebuild_validator(*gated.expensive)?;
+            let cheap = restore_validator(*gated.cheap)?;
+            let expensive = restore_validator(*gated.expensive)?;
             Ok(Box::new(crate::GatedValidator::new(
                 cheap,
                 expensive,
@@ -236,7 +236,7 @@ mod tests {
         let parsed: PersistedValidatorState = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed, state);
 
-        let rebuilt = rebuild_validator(parsed).unwrap();
+        let rebuilt = restore_validator(parsed).unwrap();
         assert_eq!(rebuilt.name(), gated.name());
         for batch in [&clean, &drifted] {
             assert_eq!(
@@ -308,7 +308,7 @@ mod tests {
                 categorical: None,
             }],
         });
-        let err = match rebuild_validator(state) {
+        let err = match restore_validator(state) {
             Err(err) => err,
             Ok(_) => panic!("a profile with no distribution must not rebuild"),
         };

@@ -1,5 +1,4 @@
-//! The open backend registry: named builders, spec-tree construction, and
-//! the legacy [`ValidatorKind`] shim.
+//! The open backend registry: named builders and spec-tree construction.
 //!
 //! A [`ValidatorRegistry`] maps backend names to builder closures and turns
 //! declarative [`ValidatorSpec`] trees into boxed [`Validator`]s:
@@ -34,11 +33,22 @@ use crate::{Result, ValidateError, Validator};
 use dquag_baselines::BaselineKind;
 use dquag_core::spec::{normalize_backend_name, BackendSpec, DriftSpec, ValidatorSpec};
 use dquag_core::DquagConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
+
+/// Registry names of every validator the paper evaluates, in the order its
+/// tables list them: baselines first, DQuaG last. Table labels come from the
+/// built validators' [`Validator::name`].
+pub const PAPER_BACKENDS: [&str; 7] = [
+    "deequ-auto",
+    "deequ-expert",
+    "tfdv-auto",
+    "tfdv-expert",
+    "adqv",
+    "gate",
+    "dquag",
+];
 
 /// A builder closure turning a backend leaf plus the deployment
 /// configuration into an unfitted validator.
@@ -78,8 +88,9 @@ impl ValidatorRegistry {
     pub fn with_defaults() -> Self {
         let mut registry = Self::new();
         registry.register("dquag", build_dquag);
-        for kind in BaselineKind::ALL {
-            registry.register(baseline_key(kind), move |spec, _config| {
+        // The baselines lead `PAPER_BACKENDS` in `BaselineKind::ALL` order.
+        for (name, kind) in PAPER_BACKENDS.into_iter().zip(BaselineKind::ALL) {
+            registry.register(name, move |spec, _config| {
                 reject_params(spec)?;
                 Ok(Box::new(BaselineBackend::new(kind)))
             });
@@ -187,7 +198,7 @@ impl fmt::Debug for ValidatorRegistry {
 }
 
 /// The process-wide default registry (the paper backends plus `drift`),
-/// used by [`build_spec`] and the [`ValidatorKind`] shim.
+/// used by [`build_spec`].
 ///
 /// The default registry is immutable by design — process-global mutable
 /// state would make two deployments in one process fight over names. Code
@@ -204,16 +215,10 @@ pub fn build_spec(spec: &ValidatorSpec, config: &DquagConfig) -> Result<Box<dyn 
 }
 
 /// The `dquag` backend builder: numeric params override the corresponding
-/// configuration fields, and the amended configuration is range-checked.
-///
-/// A leaf with *no* params adopts the caller's configuration as-is, without
-/// re-validating it — hand-assembled configurations behaved that way under
-/// the PR 1 factory (problems surface at `fit`, not at construction), and
-/// the infallible [`build_validator`] shim relies on it.
+/// configuration fields, and the amended configuration is range-checked —
+/// with or without params, an out-of-range configuration fails here rather
+/// than at `fit`.
 fn build_dquag(spec: &BackendSpec, config: &DquagConfig) -> Result<Box<dyn Validator>> {
-    if spec.params.is_empty() {
-        return Ok(Box::new(DquagBackend::new(config.clone())));
-    }
     let mut config = config.clone();
     for (key, &value) in &spec.params {
         match key.as_str() {
@@ -288,168 +293,20 @@ fn param_usize(key: &str, value: f64) -> Result<usize> {
     Ok(value as usize)
 }
 
-/// Registry key for a baseline configuration.
-fn baseline_key(kind: BaselineKind) -> &'static str {
-    match kind {
-        BaselineKind::DeequAuto => "deequ-auto",
-        BaselineKind::DeequExpert => "deequ-expert",
-        BaselineKind::TfdvAuto => "tfdv-auto",
-        BaselineKind::TfdvExpert => "tfdv-expert",
-        BaselineKind::Adqv => "adqv",
-        BaselineKind::Gate => "gate",
-    }
-}
-
-/// Every validator configuration the paper evaluates.
-///
-/// **Deprecated shim**: the closed enum predates the open
-/// [`ValidatorRegistry`]; new code should build a [`ValidatorSpec`] instead
-/// (every variant lowers to a `Backend` leaf via
-/// `ValidatorSpec::from(kind)`). It stays for the paper-table call sites —
-/// iterating [`ValidatorKind::ALL`] in a fixed order is genuinely handy for
-/// experiments — and keeps PR 1–4 code compiling unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ValidatorKind {
-    /// Deequ with automatically suggested constraints.
-    DeequAuto,
-    /// Deequ with expert-tuned constraints.
-    DeequExpert,
-    /// TFDV with the inferred schema as-is.
-    TfdvAuto,
-    /// TFDV with an expert-tuned schema.
-    TfdvExpert,
-    /// ADQV's kNN-over-batch-statistics approach.
-    Adqv,
-    /// Gate's learned statistical tests.
-    Gate,
-    /// The paper's contribution: the DQuaG GNN pipeline.
-    Dquag,
-}
-
-impl ValidatorKind {
-    /// All kinds in the order the paper's tables list them: baselines first,
-    /// DQuaG last.
-    pub const ALL: [ValidatorKind; 7] = [
-        ValidatorKind::DeequAuto,
-        ValidatorKind::DeequExpert,
-        ValidatorKind::TfdvAuto,
-        ValidatorKind::TfdvExpert,
-        ValidatorKind::Adqv,
-        ValidatorKind::Gate,
-        ValidatorKind::Dquag,
-    ];
-
-    /// The display label used in experiment tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ValidatorKind::Dquag => "DQuaG",
-            ValidatorKind::DeequAuto => "Deequ auto",
-            ValidatorKind::DeequExpert => "Deequ expert",
-            ValidatorKind::TfdvAuto => "TFDV auto",
-            ValidatorKind::TfdvExpert => "TFDV expert",
-            ValidatorKind::Adqv => "ADQV",
-            ValidatorKind::Gate => "Gate",
-        }
-    }
-
-    /// The canonical registry key this kind lowers to.
-    pub fn key(&self) -> &'static str {
-        match self {
-            ValidatorKind::Dquag => "dquag",
-            ValidatorKind::DeequAuto => "deequ-auto",
-            ValidatorKind::DeequExpert => "deequ-expert",
-            ValidatorKind::TfdvAuto => "tfdv-auto",
-            ValidatorKind::TfdvExpert => "tfdv-expert",
-            ValidatorKind::Adqv => "adqv",
-            ValidatorKind::Gate => "gate",
-        }
-    }
-
-    /// The underlying baseline configuration, for every kind but DQuaG.
-    pub fn baseline(&self) -> Option<BaselineKind> {
-        match self {
-            ValidatorKind::Dquag => None,
-            ValidatorKind::DeequAuto => Some(BaselineKind::DeequAuto),
-            ValidatorKind::DeequExpert => Some(BaselineKind::DeequExpert),
-            ValidatorKind::TfdvAuto => Some(BaselineKind::TfdvAuto),
-            ValidatorKind::TfdvExpert => Some(BaselineKind::TfdvExpert),
-            ValidatorKind::Adqv => Some(BaselineKind::Adqv),
-            ValidatorKind::Gate => Some(BaselineKind::Gate),
-        }
-    }
-}
-
-impl fmt::Display for ValidatorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl FromStr for ValidatorKind {
-    type Err = ValidateError;
-
-    /// Parse a display label or a compact CLI spelling (`dquag`,
-    /// `deequ-auto`, `tfdv_expert`, `gate`, …), case-insensitively. A miss
-    /// is a [`ValidateError::InvalidConfig`] listing the parseable kinds
-    /// and the registered backend names.
-    fn from_str(s: &str) -> Result<Self> {
-        let normalised = normalize_backend_name(s);
-        ValidatorKind::ALL
-            .into_iter()
-            .find(|kind| {
-                normalize_backend_name(kind.label()) == normalised
-                    || normalize_backend_name(kind.key()) == normalised
-            })
-            .ok_or_else(|| {
-                // Registry-only backends (`drift`, custom registrations) are
-                // deliberately listed apart: they are real names, but this
-                // legacy parser cannot produce them — they need a
-                // `ValidatorSpec`.
-                let kinds: Vec<&str> = ValidatorKind::ALL.iter().map(|k| k.key()).collect();
-                ValidateError::InvalidConfig(format!(
-                    "unknown validator kind `{s}`; known kinds: {}. Other registered \
-                     backends ({}) are reachable through a ValidatorSpec, not a kind",
-                    kinds.join(", "),
-                    default_registry().names().join(", ")
-                ))
-            })
-    }
-}
-
-/// Construct an unfitted validator of the given kind.
-///
-/// **Deprecated shim** over the open registry: lowers `kind` to its
-/// [`ValidatorSpec::Backend`] leaf and builds it through
-/// [`default_registry`]. New code should carry a [`ValidatorSpec`] and call
-/// [`build_spec`] (or own a [`ValidatorRegistry`]) instead.
-///
-/// `config` parameterises the DQuaG backend (epochs, architecture, threshold
-/// percentile, …); the baselines are self-configuring and ignore it. Every
-/// backend comes back behind the same `Box<dyn Validator>`, so callers fit
-/// and validate uniformly:
-///
-/// ```no_run
-/// # use dquag_validate::{build_validator, ValidatorKind};
-/// # use dquag_core::DquagConfig;
-/// # let clean = unimplemented!();
-/// for kind in ValidatorKind::ALL {
-///     let mut validator = build_validator(kind, &DquagConfig::default());
-///     validator.fit(&clean).unwrap();
-/// }
-/// ```
-pub fn build_validator(kind: ValidatorKind, config: &DquagConfig) -> Box<dyn Validator> {
-    default_registry()
-        .build(&ValidatorSpec::from(kind), config)
-        .expect("built-in kinds always resolve and carry no params")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn built_name(name: &str) -> String {
+        build_spec(&ValidatorSpec::backend(name), &DquagConfig::fast())
+            .unwrap()
+            .name()
+            .to_string()
+    }
+
     #[test]
     fn labels_match_paper_order() {
-        let labels: Vec<&str> = ValidatorKind::ALL.iter().map(|k| k.label()).collect();
+        let labels: Vec<String> = PAPER_BACKENDS.iter().map(|name| built_name(name)).collect();
         assert_eq!(
             labels,
             vec![
@@ -466,79 +323,60 @@ mod tests {
 
     #[test]
     fn every_kind_builds_its_backend() {
-        for kind in ValidatorKind::ALL {
-            let validator = build_validator(kind, &dquag_core::DquagConfig::fast());
-            assert_eq!(validator.name(), kind.label());
+        for name in PAPER_BACKENDS {
+            let validator =
+                build_spec(&ValidatorSpec::backend(name), &DquagConfig::fast()).unwrap();
             let caps = validator.capabilities();
-            assert_eq!(caps.cell_flags, kind == ValidatorKind::Dquag);
-            assert_eq!(caps.repair, kind == ValidatorKind::Dquag);
+            assert_eq!(caps.cell_flags, name == "dquag");
+            assert_eq!(caps.repair, name == "dquag");
         }
     }
 
     #[test]
     fn kind_parsing_accepts_labels_and_cli_spellings() {
-        assert_eq!(
-            "DQuaG".parse::<ValidatorKind>().unwrap(),
-            ValidatorKind::Dquag
-        );
-        assert_eq!(
-            "dquag".parse::<ValidatorKind>().unwrap(),
-            ValidatorKind::Dquag
-        );
-        assert_eq!(
-            "deequ-auto".parse::<ValidatorKind>().unwrap(),
-            ValidatorKind::DeequAuto
-        );
-        assert_eq!(
-            "tfdv_expert".parse::<ValidatorKind>().unwrap(),
-            ValidatorKind::TfdvExpert
-        );
-        assert_eq!(
-            "GATE".parse::<ValidatorKind>().unwrap(),
-            ValidatorKind::Gate
-        );
+        for (spelling, label) in [
+            ("DQuaG", "DQuaG"),
+            ("dquag", "DQuaG"),
+            ("deequ-auto", "Deequ auto"),
+            ("Deequ auto", "Deequ auto"),
+            ("tfdv_expert", "TFDV expert"),
+            ("GATE", "Gate"),
+        ] {
+            assert_eq!(built_name(spelling), label, "spelling `{spelling}`");
+        }
+        // Every table label resolves back to its own backend.
+        for name in PAPER_BACKENDS {
+            let label = built_name(name);
+            assert_eq!(built_name(&label), label);
+        }
     }
 
     #[test]
     fn kind_parse_miss_lists_registered_backends() {
-        match "nope".parse::<ValidatorKind>() {
+        match build_spec(&ValidatorSpec::backend("nope"), &DquagConfig::fast()).map(|_| ()) {
             Err(ValidateError::InvalidConfig(msg)) => {
                 assert!(msg.contains("`nope`"), "got `{msg}`");
-                for name in ["dquag", "deequ-auto", "gate", "drift"] {
+                for name in default_registry().names() {
                     assert!(msg.contains(name), "missing `{name}` in `{msg}`");
                 }
             }
-            other => panic!("parse miss must be InvalidConfig, got {other:?}"),
-        }
-
-        // A registry-only backend name is a miss for the legacy parser, and
-        // the message must not present it as a retry candidate.
-        match "drift".parse::<ValidatorKind>() {
-            Err(ValidateError::InvalidConfig(msg)) => {
-                assert!(msg.contains("ValidatorSpec"), "got `{msg}`");
-                let kinds = msg
-                    .split("known kinds:")
-                    .nth(1)
-                    .and_then(|rest| rest.split('.').next())
-                    .expect("message names the known kinds");
-                assert!(!kinds.contains("drift"), "got `{msg}`");
-            }
-            other => panic!("`drift` is not a kind, got {other:?}"),
+            other => panic!("an unknown name must be InvalidConfig, got {other:?}"),
         }
     }
 
     #[test]
     fn kind_serde_round_trips() {
-        for kind in ValidatorKind::ALL {
-            let json = serde_json::to_string(&kind).unwrap();
-            let back: ValidatorKind = serde_json::from_str(&json).unwrap();
-            assert_eq!(kind, back);
+        for name in PAPER_BACKENDS {
+            let spec = ValidatorSpec::backend(name);
+            let json = serde_json::to_string(&spec).unwrap();
+            let back: ValidatorSpec = serde_json::from_str(&json).unwrap();
+            assert_eq!(spec, back);
         }
     }
 
     #[test]
     fn display_matches_label() {
-        assert_eq!(ValidatorKind::Adqv.to_string(), "ADQV");
+        assert_eq!(built_name("adqv"), "ADQV");
     }
 
     #[test]
@@ -641,15 +479,18 @@ mod tests {
     }
 
     #[test]
-    fn build_validator_stays_infallible_on_hand_assembled_configs() {
-        // Regression: the PR 1 factory never failed at construction — bad
-        // configurations surfaced at `fit`. A param-free `dquag` leaf must
-        // keep that contract (the shim `expect`s on it), even when the
-        // caller hand-assembled an out-of-range configuration.
+    fn hand_assembled_out_of_range_configs_are_refused_at_build() {
+        // Every `dquag` leaf, with or without params, is range-checked at
+        // build: a hand-assembled configuration with `epochs = 0` fails here
+        // instead of at `fit`.
         let mut config = DquagConfig::fast();
         config.epochs = 0;
-        let validator = build_validator(ValidatorKind::Dquag, &config);
-        assert_eq!(validator.name(), "DQuaG");
+        match build_spec(&ValidatorSpec::backend("dquag"), &config).map(|_| ()) {
+            Err(ValidateError::InvalidConfig(msg)) => {
+                assert!(msg.contains("epochs"), "got `{msg}`")
+            }
+            other => panic!("epochs = 0 must be refused at build, got {other:?}"),
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl From<CoreError> for ValidateError {
 /// of detail. This trait is the single seam they plug into: benches,
 /// examples, the [`crate::ValidationSession`] and future backends all program
 /// against `dyn Validator` and construct instances through
-/// [`crate::build_validator`].
+/// [`crate::build_spec`].
 ///
 /// Implementations must be `Send + Sync`: a fitted validator is immutable
 /// during validation, and the session fans batches out across threads.
@@ -144,7 +144,7 @@ pub trait Validator: Send + Sync {
     /// been fitted yet.
     ///
     /// This is the *Persistable* capability: a returned state, fed through
-    /// [`crate::rebuild_validator`], yields a scoring-ready validator whose
+    /// [`crate::restore_validator`], yields a scoring-ready validator whose
     /// verdicts are identical to this one's — across process restarts, with
     /// no refit. Composites (ensemble, gated) are persistable exactly when
     /// every member is.

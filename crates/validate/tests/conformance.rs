@@ -1,5 +1,5 @@
-//! Trait-conformance suite: every [`ValidatorKind`] must honour the
-//! [`Verdict`] contract.
+//! Trait-conformance suite: every paper backend ([`PAPER_BACKENDS`]) must
+//! honour the [`Verdict`] contract.
 //!
 //! One parameterized test runs each backend through fit → validate on a
 //! clean batch and a corrupted batch (via `dquag-datagen` error injection)
@@ -16,7 +16,9 @@
 use dquag_core::DquagConfig;
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag_tabular::DataFrame;
-use dquag_validate::{build_validator, ValidateError, ValidatorKind, Verdict};
+use dquag_validate::{
+    build_spec, ValidateError, Validator, ValidatorSpec, Verdict, PAPER_BACKENDS,
+};
 
 fn test_config() -> DquagConfig {
     DquagConfig::builder()
@@ -53,8 +55,14 @@ fn fixtures() -> (DataFrame, DataFrame, DataFrame) {
     (clean, clean_batch, dirty_batch)
 }
 
-fn assert_verdict_contract(verdict: &Verdict, kind: ValidatorKind, n_rows: usize) {
-    assert_eq!(verdict.validator, kind.label(), "{kind:?}");
+/// An unfitted validator for one registry backend name.
+fn build(kind: &str) -> Box<dyn Validator> {
+    build_spec(&ValidatorSpec::backend(kind), &test_config()).expect("paper backends build")
+}
+
+fn assert_verdict_contract(verdict: &Verdict, validator: &dyn Validator, n_rows: usize) {
+    let kind = validator.name();
+    assert_eq!(verdict.validator, kind, "{kind:?}");
     assert_eq!(verdict.n_instances, n_rows, "{kind:?}");
     assert!(verdict.score.is_finite(), "{kind:?} score must be finite");
     if verdict.is_dirty {
@@ -64,7 +72,7 @@ fn assert_verdict_contract(verdict: &Verdict, kind: ValidatorKind, n_rows: usize
         );
     }
 
-    let caps = build_validator(kind, &test_config()).capabilities();
+    let caps = validator.capabilities();
     assert_eq!(
         verdict.instance_errors.is_some(),
         caps.instance_errors,
@@ -111,24 +119,24 @@ fn assert_verdict_contract(verdict: &Verdict, kind: ValidatorKind, n_rows: usize
 #[test]
 fn every_kind_honours_the_verdict_contract() {
     let (clean, clean_batch, dirty_batch) = fixtures();
-    for kind in ValidatorKind::ALL {
-        let mut validator = build_validator(kind, &test_config());
+    for kind in PAPER_BACKENDS {
+        let mut validator = build(kind);
 
         // Validating before fitting is a NotFitted error, not a panic.
         match validator.validate(&clean_batch) {
-            Err(ValidateError::NotFitted(name)) => assert_eq!(name, kind.label()),
+            Err(ValidateError::NotFitted(name)) => assert_eq!(name, validator.name()),
             other => panic!("{kind:?} unfitted validate must fail, got {other:?}"),
         }
 
         let fit = validator.fit(&clean).expect("fit succeeds");
-        assert_eq!(fit.validator, kind.label());
+        assert_eq!(fit.validator, validator.name());
         assert_eq!(fit.n_rows, clean.n_rows());
         assert_eq!(fit.n_columns, clean.n_cols());
 
         let clean_verdict = validator.validate(&clean_batch).expect("same schema");
         let dirty_verdict = validator.validate(&dirty_batch).expect("same schema");
-        assert_verdict_contract(&clean_verdict, kind, clean_batch.n_rows());
-        assert_verdict_contract(&dirty_verdict, kind, dirty_batch.n_rows());
+        assert_verdict_contract(&clean_verdict, &*validator, clean_batch.n_rows());
+        assert_verdict_contract(&dirty_verdict, &*validator, dirty_batch.n_rows());
 
         // The corrupted batch must never look *cleaner* than the clean one.
         assert!(
@@ -145,8 +153,8 @@ fn heavily_corrupted_batches_are_flagged_by_every_kind() {
     // 25% numeric anomalies + 20% missing cells across three attributes is
     // exactly the error family every system in the paper's Table 1 catches.
     let (clean, _, dirty_batch) = fixtures();
-    for kind in ValidatorKind::ALL {
-        let mut validator = build_validator(kind, &test_config());
+    for kind in PAPER_BACKENDS {
+        let mut validator = build(kind);
         validator.fit(&clean).expect("fit succeeds");
         let verdict = validator.validate(&dirty_batch).expect("same schema");
         assert!(
@@ -161,8 +169,8 @@ fn heavily_corrupted_batches_are_flagged_by_every_kind() {
 #[test]
 fn replicate_copies_fitted_state_or_declines() {
     let (clean, _, dirty_batch) = fixtures();
-    for kind in ValidatorKind::ALL {
-        let mut validator = build_validator(kind, &test_config());
+    for kind in PAPER_BACKENDS {
+        let mut validator = build(kind);
         assert!(
             validator.replicate().is_none(),
             "{kind:?} must not replicate unfitted state"
@@ -179,7 +187,7 @@ fn replicate_copies_fitted_state_or_declines() {
                 );
             }
             // Declining is legal: the engine shares the validator instead.
-            None => assert_ne!(kind, ValidatorKind::Dquag, "DQuaG must replicate"),
+            None => assert_ne!(kind, "dquag", "DQuaG must replicate"),
         }
     }
 }
@@ -187,8 +195,8 @@ fn replicate_copies_fitted_state_or_declines() {
 #[test]
 fn repair_is_gated_by_capabilities() {
     let (clean, _, dirty_batch) = fixtures();
-    for kind in ValidatorKind::ALL {
-        let mut validator = build_validator(kind, &test_config());
+    for kind in PAPER_BACKENDS {
+        let mut validator = build(kind);
         validator.fit(&clean).expect("fit succeeds");
         let verdict = validator.validate(&dirty_batch).expect("same schema");
         let repaired = validator

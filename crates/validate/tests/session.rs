@@ -3,7 +3,7 @@
 use dquag_core::DquagConfig;
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag_tabular::DataFrame;
-use dquag_validate::{build_validator, ValidationSession, ValidatorKind};
+use dquag_validate::{build_spec, ValidationSession, ValidatorSpec};
 
 fn test_config() -> DquagConfig {
     DquagConfig::builder()
@@ -52,8 +52,8 @@ fn parallel_multi_batch_validation_matches_sequential() {
         .build()
         .expect("configuration in range");
 
-    let mut session =
-        ValidationSession::train(ValidatorKind::Dquag, &config, &clean).expect("training succeeds");
+    let mut session = ValidationSession::train(&ValidatorSpec::backend("dquag"), &config, &clean)
+        .expect("training succeeds");
     assert_eq!(session.threads(), 4, "session honours validation_threads");
 
     let parallel = session.validate_batches(&batches).expect("same schema");
@@ -70,7 +70,7 @@ fn parallel_multi_batch_validation_matches_sequential() {
 #[test]
 fn session_streams_batches_and_tracks_history() {
     let (clean, batches) = batch_stream(4);
-    let validator = build_validator(ValidatorKind::Gate, &test_config());
+    let validator = build_spec(&ValidatorSpec::backend("gate"), &test_config()).unwrap();
     let mut session = ValidationSession::fit(validator, &clean).expect("fit succeeds");
     assert!(session.fit_report().is_some());
 
@@ -104,8 +104,8 @@ fn session_streams_batches_and_tracks_history() {
 fn rolling_error_rate_windows_the_history() {
     let (clean, batches) = batch_stream(6);
     let config = test_config();
-    let mut session =
-        ValidationSession::train(ValidatorKind::Dquag, &config, &clean).expect("training succeeds");
+    let mut session = ValidationSession::train(&ValidatorSpec::backend("dquag"), &config, &clean)
+        .expect("training succeeds");
     session.push_batches(&batches).expect("same schema");
 
     let rates: Vec<f64> = session.history().iter().map(|v| v.error_rate()).collect();
@@ -127,7 +127,7 @@ fn rolling_error_rate_windows_the_history() {
 #[test]
 fn empty_session_reports_zeroes() {
     let (clean, _) = batch_stream(0);
-    let validator = build_validator(ValidatorKind::Adqv, &test_config());
+    let validator = build_spec(&ValidatorSpec::backend("adqv"), &test_config()).unwrap();
     let session = ValidationSession::fit(validator, &clean).expect("fit succeeds");
     assert_eq!(session.n_batches(), 0);
     assert_eq!(session.dirty_fraction(), 0.0);

@@ -16,7 +16,7 @@
 
 use dquag::core::DquagConfig;
 use dquag::datagen::{inject_hidden, DatasetKind, HiddenError};
-use dquag::validate::{build_validator, ValidatorKind};
+use dquag::validate::{build_spec, ValidatorSpec};
 
 fn main() {
     let clean = DatasetKind::CreditCard.generate_clean(4_000, 21);
@@ -50,10 +50,10 @@ fn main() {
         .expect("configuration in range");
 
     // Expert-tuned Deequ (the strongest rule-based comparison) and DQuaG,
-    // built and fitted through the same factory.
+    // built and fitted through the same registry.
     let mut validators = Vec::new();
-    for kind in [ValidatorKind::DeequExpert, ValidatorKind::Dquag] {
-        let mut validator = build_validator(kind, &config);
+    for backend in ["deequ-expert", "dquag"] {
+        let mut validator = build_spec(&ValidatorSpec::backend(backend), &config).unwrap();
         validator.fit(&clean).expect("fit succeeds");
         validators.push(validator);
     }

@@ -10,7 +10,7 @@
 
 use dquag::core::DquagConfig;
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
-use dquag::validate::{build_validator, ValidationSession, ValidatorKind};
+use dquag::validate::{build_spec, ValidationSession, ValidatorSpec};
 
 fn main() {
     // 1. A clean reference dataset (stand-in for your curated training data).
@@ -43,8 +43,8 @@ fn main() {
 
     // 3. Configure the pipeline through the validated builder (a
     //    lighter-than-paper setting keeps the example fast) and train DQuaG
-    //    behind the unified `Validator` API. Swapping `ValidatorKind::Dquag`
-    //    for any baseline changes nothing else in this program.
+    //    behind the unified `Validator` API. Swapping the `"dquag"` backend
+    //    name for any baseline's changes nothing else in this program.
     let config = DquagConfig::builder()
         .epochs(15)
         .hidden_dim(24)
@@ -55,7 +55,7 @@ fn main() {
         )
         .build()
         .expect("configuration in range");
-    let validator = build_validator(ValidatorKind::Dquag, &config);
+    let validator = build_spec(&ValidatorSpec::backend("dquag"), &config).unwrap();
     let mut session = ValidationSession::fit(validator, &clean)
         .expect("training succeeds")
         .with_threads(config.validation_threads);

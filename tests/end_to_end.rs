@@ -8,7 +8,7 @@ use dquag::datagen::{
     OrdinaryError,
 };
 use dquag::gnn::ModelConfig;
-use dquag::validate::{build_validator, ValidationSession, ValidatorKind};
+use dquag::validate::{build_spec, ValidationSession, ValidatorSpec, PAPER_BACKENDS};
 
 /// A small-but-real pipeline configuration used across these tests.
 fn test_config() -> DquagConfig {
@@ -125,8 +125,8 @@ fn dquag_beats_expert_rules_on_hidden_conflicts() {
     );
 
     // Expert-tuned Deequ and TFDV pass the conflicted batch…
-    for kind in [ValidatorKind::DeequExpert, ValidatorKind::TfdvExpert] {
-        let mut validator = build_validator(kind, &test_config());
+    for backend in ["deequ-expert", "tfdv-expert"] {
+        let mut validator = build_spec(&ValidatorSpec::backend(backend), &test_config()).unwrap();
         validator.fit(&clean).expect("baseline fitting succeeds");
         assert!(
             !validator
@@ -134,7 +134,7 @@ fn dquag_beats_expert_rules_on_hidden_conflicts() {
                 .expect("same schema")
                 .is_dirty,
             "{} is not expected to see the hidden conflict",
-            kind.label()
+            validator.name()
         );
     }
 
@@ -222,18 +222,19 @@ fn all_validator_kinds_share_the_batch_protocol() {
     let labels: Vec<bool> = batches.iter().map(|b| b.is_dirty).collect();
     let frames: Vec<_> = batches.iter().map(|b| b.data.clone()).collect();
 
-    for validator_kind in ValidatorKind::ALL {
+    for backend in PAPER_BACKENDS {
+        let spec = ValidatorSpec::backend(backend);
         let mut session =
-            ValidationSession::train(validator_kind, &test_config(), &clean).expect("fit succeeds");
+            ValidationSession::train(&spec, &test_config(), &clean).expect("fit succeeds");
         let verdicts = session.push_batches(&frames).expect("same schema");
         let predictions: Vec<bool> = verdicts.iter().map(|v| v.is_dirty).collect();
         let metrics = DetectionMetrics::from_predictions(&predictions, &labels);
         assert!(
             metrics.accuracy() >= 0.0 && metrics.accuracy() <= 1.0,
-            "{validator_kind:?}"
+            "{backend}"
         );
         assert_eq!(session.n_batches(), batches.len());
-        if validator_kind == ValidatorKind::Dquag {
+        if backend == "dquag" {
             assert!(
                 metrics.recall() > 0.5,
                 "DQuaG should flag most dirty batches"
